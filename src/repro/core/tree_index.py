@@ -130,18 +130,18 @@ class TreeIndex:
         ev = self.ev
         m, k = ev.m, ev.k
 
-        old = self._painted[slot]
         if ev.is_executed(slot):
             self._self_gain[slot] = _NEG_INF
             self._unpaint(slot)
             return
 
         p = ev.p(slot)
+        phi_p = entropy_term(p)
         # Self gain: the slot flips from interpolated to executed.
         if self._cost[slot] == _INF:
             self._self_gain[slot] = _NEG_INF
         else:
-            self._self_gain[slot] = entropy_term(self._rel[slot] / m) - entropy_term(p)
+            self._self_gain[slot] = entropy_term(self._rel[slot] / m) - phi_p
         # Neighbour bound (Eq. 6 generalized): executing a slot at
         # distance d from `slot` inserts a contribution of at most
         # (m - d) and evicts at most the current farthest neighbour.
@@ -153,45 +153,56 @@ class TreeIndex:
             dk, lam_far = far
             evicted = lam_far * (m - dk)
 
-        def gain_at(distance: int) -> float:
-            delta_p = ((m - distance) - evicted) / (k * m * m)
-            if delta_p <= 0.0:
-                return 0.0
-            p_ub = min(p + delta_p, 1.0 / m)
-            return max(entropy_term(p_ub) - entropy_term(p), 0.0)
-
         # Distance-banded painting: band (a, b] is bounded by the gain
-        # at its inner edge a+1.  Geometric doubling keeps the band
-        # count at O(log d_k) while staying tight near the slot, where
-        # the true gain is largest.
+        # at its inner edge a+1,
+        #     phi(min(p + delta_p, 1/m)) - phi(p),
+        #     delta_p = ((m - (a+1)) - evicted) / (k m^2),
+        # floored at 0.  Geometric doubling keeps the band count at
+        # O(log d_k) while staying tight near the slot, where the true
+        # gain is largest.  delta_p only falls as the band moves out,
+        # so the first band with delta_p <= 0 ends the painting.
         segments: list[tuple[int, int, float]] = []
+        norm = k * m * m
+        p_cap = 1.0 / m
         a = 0
         width = 1
         while a < dk:
-            b = min(a + width, dk)
-            value = gain_at(a + 1)
+            delta_p = ((m - (a + 1)) - evicted) / norm
+            if delta_p <= 0.0:
+                break
+            b = a + width
+            if b > dk:
+                b = dk
+            p_ub = p + delta_p
+            if p_cap < p_ub:
+                p_ub = p_cap
+            value = entropy_term(p_ub) - phi_p
             if value > 0.0:
-                lo_l, hi_l = slot - b, slot - a - 1
+                hi_l = slot - a - 1
                 if hi_l >= 1:
-                    segments.append((max(1, lo_l), hi_l, value))
-                lo_r, hi_r = slot + a + 1, slot + b
+                    lo_l = slot - b
+                    segments.append((lo_l if lo_l > 1 else 1, hi_l, value))
+                lo_r = slot + a + 1
                 if lo_r <= m:
-                    segments.append((lo_r, min(m, hi_r), value))
+                    hi_r = slot + b
+                    segments.append((lo_r, hi_r if hi_r < m else m, value))
             a = b
             width *= 2
 
-        if old != segments:
+        if self._painted[slot] != segments:
             self._unpaint(slot)
+            add = self._paint.add
             for lo, hi, value in segments:
-                self._paint.add(lo, hi, value)
+                add(lo, hi, value)
             self._painted[slot] = segments if segments else None
             self.counters.tree_node_updates += 1
 
     def _unpaint(self, slot: int) -> None:
         old = self._painted[slot]
         if old is not None:
+            add = self._paint.add
             for lo, hi, value in old:
-                self._paint.add(lo, hi, -value)
+                add(lo, hi, -value)
             self._painted[slot] = None
             self.counters.tree_node_updates += 1
 

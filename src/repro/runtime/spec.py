@@ -277,6 +277,12 @@ class RunSpec:
                 )
         elif self.halo < 0:
             raise SpecError(f"halo radius must be >= 0, got {self.halo}")
+        elif self.mode == "plain" and self.halo <= 0:
+            # The plain-mode partitioner rejects a radius <= 0 at run
+            # time; the streaming router accepts 0.
+            raise SpecError(
+                f"plain-mode halo radius must be > 0, got {self.halo}"
+            )
         if self.epoch_length <= 0:
             raise SpecError(f"epoch_length must be > 0, got {self.epoch_length}")
         if self.max_active_tasks < 1:

@@ -96,10 +96,13 @@ def valid_specs(draw) -> RunSpec:
         ts=draw(st.integers(2, 6)),
         budget_fraction=draw(st.floats(0.05, 1.0, allow_nan=False)),
         shards=shards,
+        # Plain mode needs a positive radius; stream accepts 0.
         halo=draw(
             st.one_of(
                 st.just("auto"),
-                st.floats(0.0, 100.0, allow_nan=False),
+                st.floats(
+                    0.0, 100.0, allow_nan=False, exclude_min=mode == "plain"
+                ),
             )
         ),
         cells_per_side=draw(st.one_of(st.none(), st.integers(1, 6))),
@@ -187,6 +190,8 @@ class TestRejection:
             dict(shards=0),
             dict(halo="wide"),
             dict(halo=-2.0),
+            dict(halo=0.0),                      # plain needs a radius > 0
+            dict(mode="plain", shards=2, halo=0.0),
             dict(epoch_length=0.0),
             dict(max_active_tasks=0),
             dict(max_queue_depth=-1),
@@ -283,6 +288,11 @@ class TestRejection:
     def test_from_dict_validates_combos(self):
         with pytest.raises(SpecError):
             RunSpec.from_dict({"mode": "plain", "journal": "/tmp/j"})
+
+    def test_zero_halo_accepted_in_stream_mode(self):
+        """Only the plain partitioner needs a positive radius (see the
+        rejection rows); the streaming router accepts 0."""
+        RunSpec(mode="stream", shards=2, halo=0.0).validate()
 
     def test_spec_error_is_configuration_error(self):
         """Typed, but still catchable as the library-wide hierarchy."""

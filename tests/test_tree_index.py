@@ -8,10 +8,14 @@ budgets.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluator import TemporalQualityEvaluator
+from repro.core.instrumentation import OpCounters
+from repro.core.quality import entropy_term
 from repro.core.tree_index import COST_EPSILON, TreeIndex
 from repro.errors import ConfigurationError
 
@@ -191,3 +195,128 @@ class TestIncrementalConsistency:
         cost_map[3] = 0.01  # slot 3 becomes extremely cheap
         index.refresh_range(3, 3)
         assert index.find_best(1e9).slot == 3
+
+
+def _reference_refresh_slot(self, slot: int) -> None:
+    """The per-slot repaint before the single-pass rewrite, kept as the
+    reference: ``gain_at`` closure, every band visited."""
+    ev = self.ev
+    m, k = ev.m, ev.k
+
+    old = self._painted[slot]
+    if ev.is_executed(slot):
+        self._self_gain[slot] = float("-inf")
+        self._unpaint(slot)
+        return
+
+    p = ev.p(slot)
+    if self._cost[slot] == float("inf"):
+        self._self_gain[slot] = float("-inf")
+    else:
+        self._self_gain[slot] = entropy_term(self._rel[slot] / m) - entropy_term(p)
+    far = ev.farthest_neighbor(slot)
+    if far is None:
+        dk = m
+        evicted = 0.0
+    else:
+        dk, lam_far = far
+        evicted = lam_far * (m - dk)
+
+    def gain_at(distance: int) -> float:
+        delta_p = ((m - distance) - evicted) / (k * m * m)
+        if delta_p <= 0.0:
+            return 0.0
+        p_ub = min(p + delta_p, 1.0 / m)
+        return max(entropy_term(p_ub) - entropy_term(p), 0.0)
+
+    segments: list[tuple[int, int, float]] = []
+    a = 0
+    width = 1
+    while a < dk:
+        b = min(a + width, dk)
+        value = gain_at(a + 1)
+        if value > 0.0:
+            lo_l, hi_l = slot - b, slot - a - 1
+            if hi_l >= 1:
+                segments.append((max(1, lo_l), hi_l, value))
+            lo_r, hi_r = slot + a + 1, slot + b
+            if lo_r <= m:
+                segments.append((lo_r, min(m, hi_r), value))
+        a = b
+        width *= 2
+
+    if old != segments:
+        self._unpaint(slot)
+        for lo, hi, value in segments:
+            self._paint.add(lo, hi, value)
+        self._painted[slot] = segments if segments else None
+        self.counters.tree_node_updates += 1
+
+
+def _drive_index(backend: str, seed: int) -> list[tuple[str, OpCounters]]:
+    """A seeded random repair sequence; the index state and counters
+    after every step."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    m = int(rng.choice([3, 5, 24, 37, 60]))
+    k = int(rng.integers(1, 5))
+    hetero = seed % 2 == 1
+    cost_map = {
+        s: round(float(rng.uniform(0.5, 10.0)), 3)
+        for s in range(1, m + 1)
+        if rng.uniform() > 0.1
+    }
+    rels = {s: round(float(rng.uniform(0.3, 1.0)), 3) for s in range(1, m + 1)} if hetero else {}
+    costs = FakeCosts(cost_map, rels)
+    ev = TemporalQualityEvaluator(m, k, backend=backend)
+    index = TreeIndex(ev, costs, ts=int(rng.integers(1, 6)))
+    trace = [(json.dumps(index.to_state()), index.counters.snapshot())]
+    for _ in range(40):
+        action = rng.uniform()
+        if action < 0.45:
+            free = [s for s in range(1, m + 1) if not ev.is_executed(s)]
+            if not free:
+                break
+            slot = int(rng.choice(free))
+            window = ev.affected_window(slot)
+            ev.execute(slot, costs.reliability(slot))
+            index.refresh_range(*window)
+        elif action < 0.75:
+            # Worker churn: some offers change or vanish, then the
+            # touched slots are repaired incrementally.
+            touched = {int(s) for s in rng.integers(1, m + 1, size=int(rng.integers(1, 6)))}
+            for s in touched:
+                if rng.uniform() < 0.3:
+                    cost_map.pop(s, None)
+                else:
+                    cost_map[s] = round(float(rng.uniform(0.5, 10.0)), 3)
+            index.refresh_slots(touched | {0, m + 1})
+        else:
+            index.find_best(float(rng.uniform(1.0, 15.0)))
+        trace.append((json.dumps(index.to_state()), index.counters.snapshot()))
+    return trace
+
+
+class TestReferenceBitIdentity:
+    """Index repair is bit-identical to the recursive paint tree and the
+    per-band ``gain_at`` refresh it replaced: the journal snapshots the
+    paint arrays verbatim, and the regress ledger pins the counters."""
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_repair_matches_reference(self, backend, seed, monkeypatch):
+        from test_util_structures import ReferenceRangeAddMaxTree
+
+        import repro.core.tree_index as tree_index_module
+
+        current = _drive_index(backend, seed)
+        monkeypatch.setattr(tree_index_module, "RangeAddMaxTree", ReferenceRangeAddMaxTree)
+        monkeypatch.setattr(TreeIndex, "_refresh_slot", _reference_refresh_slot)
+        reference = _drive_index(backend, seed)
+        assert len(current) == len(reference)
+        for step, ((state, counters), (ref_state, ref_counters)) in enumerate(
+            zip(current, reference)
+        ):
+            assert state == ref_state, f"state diverged at step {step}"
+            assert counters == ref_counters, f"counters diverged at step {step}"

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.util import range_tree
 from repro.util.dsu import DisjointSetUnion
 from repro.util.heaps import LazyMaxHeap
 from repro.util.range_tree import RangeAddMaxTree
@@ -148,6 +149,107 @@ class TestRangeAddMaxTree:
         for lo, hi in queries:
             lo, hi = min(lo, hi), max(lo, hi)
             assert tree.max_in(lo, hi) == pytest.approx(max(array[lo : hi + 1]))
+
+
+class ReferenceRangeAddMaxTree(RangeAddMaxTree):
+    """The recursive lazy-propagation range-add, kept as the reference
+    the memoised decomposition must match bit for bit."""
+
+    __slots__ = ()
+
+    def add(self, lo: int, hi: int, value: float) -> None:
+        lo = max(1, lo)
+        hi = min(self.n, hi)
+        if hi < lo or value == 0.0:
+            return
+        self._add(1, 1, self.n, lo, hi, value)
+
+    def _add(self, node: int, l: int, r: int, lo: int, hi: int, value: float) -> None:
+        if hi < l or r < lo:
+            return
+        if lo <= l and r <= hi:
+            self._max[node] += value
+            self._lazy[node] += value
+            return
+        mid = (l + r) // 2
+        self._add(2 * node, l, mid, lo, hi, value)
+        self._add(2 * node + 1, mid + 1, r, lo, hi, value)
+        self._max[node] = self._lazy[node] + max(self._max[2 * node], self._max[2 * node + 1])
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _paint_ops(n: int):
+    """Add sequences as the index issues them: ranges clamped or out
+    of range or empty, zero no-ops, magnitudes from 1e-12 to 1e2, and
+    paint/unpaint pairs that need not cancel bit for bit."""
+    bound = st.integers(-3, n + 3)
+    magnitude = st.one_of(
+        st.just(0.0),
+        st.floats(1e-12, 1e2, allow_nan=False),
+        st.sampled_from([1e-12, 1e-6, 0.1, 1.0, 1e2]),
+    )
+    op = st.tuples(bound, bound, magnitude, st.booleans(), st.booleans())
+    return st.lists(op, max_size=60)
+
+
+class TestRangeAddMaxTreeReference:
+    """The memoised range-add is bit-identical to the recursive one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 24, 37, 100])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_recursive_reference(self, n, data):
+        tree = RangeAddMaxTree(n)
+        reference = ReferenceRangeAddMaxTree(n)
+        painted: list[tuple[int, int, float]] = []
+        for lo, hi, magnitude, negative, unpaint in data.draw(_paint_ops(n)):
+            if unpaint and painted:
+                lo, hi, value = painted.pop()
+                value = -value
+            else:
+                value = -magnitude if negative else magnitude
+                painted.append((lo, hi, value))
+            tree.add(lo, hi, value)
+            reference.add(lo, hi, value)
+            assert _hex(tree._max) == _hex(reference._max)
+            assert _hex(tree._lazy) == _hex(reference._lazy)
+        assert tree.to_state() == reference.to_state()
+        for lo, hi in data.draw(
+            st.lists(st.tuples(st.integers(-3, n + 3), st.integers(-3, n + 3)), max_size=20)
+        ):
+            assert float(tree.max_in(lo, hi)).hex() == float(reference.max_in(lo, hi)).hex()
+
+    def test_decomposition_cache_stays_at_its_cap(self, monkeypatch):
+        """At the n = 1000 that fig8e builds, the distinct ranges far
+        outnumber the cap: the table fills to it and evicts the oldest
+        entries, and the adds stay exact."""
+        monkeypatch.setattr(range_tree, "_DECOMPOSITIONS", {})
+        limit = range_tree._DECOMPOSITION_CACHE_LIMIT
+        n = 1000
+        tree = RangeAddMaxTree(n)
+        reference = ReferenceRangeAddMaxTree(n)
+        ranges = [(lo, hi) for lo in range(1, n + 1, 6) for hi in range(lo, n + 1, 6)]
+        assert len(ranges) > 2 * limit
+        for i, (lo, hi) in enumerate(ranges):
+            value = 1.0 + (i % 7) * 0.1
+            tree.add(lo, hi, value)
+            reference.add(lo, hi, value)
+            assert len(range_tree._DECOMPOSITIONS) <= limit
+        assert len(range_tree._DECOMPOSITIONS) == limit
+        assert (n, *ranges[0]) not in range_tree._DECOMPOSITIONS
+        assert (n, *ranges[-1]) in range_tree._DECOMPOSITIONS
+        assert tree.to_state() == reference.to_state()
+        assert _hex(tree._max) == _hex(reference._max)
+
+    def test_trees_of_one_size_share_decompositions(self, monkeypatch):
+        monkeypatch.setattr(range_tree, "_DECOMPOSITIONS", {})
+        RangeAddMaxTree(24).add(3, 9, 1.0)
+        RangeAddMaxTree(24).add(3, 9, 2.0)
+        RangeAddMaxTree(25).add(3, 9, 1.0)
+        assert sorted(range_tree._DECOMPOSITIONS) == [(24, 3, 9), (25, 3, 9)]
 
 
 class TestRng:
